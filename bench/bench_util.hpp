@@ -200,6 +200,7 @@ inline Measurement measure_sssp(const graph::KroneckerParams& params,
     double seconds = 0.0;
     core::SsspStats merged;
     Snap wire{0, 0, 0, 0, 0};
+    bool all_valid = true;
     for (const auto root : roots) {
       core::SsspStats local;
       comm.barrier();
@@ -241,9 +242,7 @@ inline Measurement measure_sssp(const graph::KroneckerParams& params,
                     << (verdict.errors.empty() ? "?" : verdict.errors.front())
                     << "\n";
         }
-        m.valid = verdict.ok;
-      } else {
-        m.valid = true;
+        all_valid = all_valid && verdict.ok;
       }
     }
     const auto total = core::global_stats(comm, merged);
@@ -257,6 +256,7 @@ inline Measurement measure_sssp(const graph::KroneckerParams& params,
       m.wire_bytes = wire.bytes + wire.p2p_bytes;
       m.wire_messages = wire.messages;
       m.rounds = wire.rounds;
+      m.valid = !roots.empty() && all_valid;
     }
     comm.barrier();
   });

@@ -201,10 +201,17 @@ BfsValidationReport validate_bfs(simmpi::Comm& comm,
   }
 
   // ---- B1: local consistency -------------------------------------------
+  // A parent id past the vertex range fails and is cleared, so the lookups
+  // below stay in range on every rank.
   std::uint64_t reachable_local = 0;
   std::uint32_t max_level_local = 0;
   for (LocalId v = 0; v < local_n; ++v) {
     const VertexId gv = my_begin + v;
+    if (parent[v] != kNoVertex && parent[v] >= g.num_vertices) {
+      fail("B1: parent of " + std::to_string(gv) + " is out of range");
+      parent[v] = kNoVertex;
+      continue;
+    }
     const bool has_parent = parent[v] != kNoVertex;
     const bool has_level = level[v] != BfsResult::kNoLevel;
     if (has_level) {
@@ -225,22 +232,10 @@ BfsValidationReport validate_bfs(simmpi::Comm& comm,
     }
   }
 
-  // ---- Fetch remote levels ----------------------------------------------
-  std::vector<VertexId> queries;
-  queries.reserve(g.csr.num_edges() + local_n);
-  for (std::uint64_t e = 0; e < g.csr.num_edges(); ++e) {
-    queries.push_back(g.csr.dst(e));
-  }
-  for (LocalId v = 0; v < local_n; ++v) {
-    if (parent[v] != kNoVertex) queries.push_back(parent[v]);
-  }
-  std::sort(queries.begin(), queries.end());
-  queries.erase(std::unique(queries.begin(), queries.end()), queries.end());
-  const auto fetched = fetch_values(comm, g.part, queries, level);
-  auto level_of = [&](VertexId v) {
-    const auto it = std::lower_bound(queries.begin(), queries.end(), v);
-    return fetched[static_cast<std::size_t>(it - queries.begin())];
-  };
+  // ---- Levels of every neighbour and parent ------------------------------
+  const NeighbourValues<std::uint32_t> level_of(comm, g.part,
+                                                g.csr.adjacency(), parent,
+                                                level);
 
   // ---- B2: every edge spans at most one level; reachability agrees -------
   for (LocalId u = 0; ok && u < local_n; ++u) {

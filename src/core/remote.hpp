@@ -1,12 +1,16 @@
 // Distributed value lookup: fetch per-vertex values owned by other ranks.
 //
 // The validation checks need remote tentative distances / parent anchors;
-// this helper turns "give me value[v] for these global ids" into two
+// fetch_values turns "give me value[v] for these global ids" into two
 // alltoallv rounds (queries out, answers back) while preserving the
-// caller's query order.
+// caller's query order.  NeighbourValues builds on it to serve the value
+// of every CSR destination with O(1) lookups.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -64,6 +68,95 @@ std::vector<T> fetch_values(simmpi::Comm& comm,
   }
   return result;
 }
+
+/// The value of every destination in `dsts` (a rank's CSR adjacency) and
+/// of every id in `extras` (e.g. the parents of its vertices), gathered
+/// once and then looked up in O(1).
+///
+/// Owned ids are read straight from `local_values`; they never enter the
+/// exchange.  Remote ids are deduplicated with a bitmap over global ids.
+/// Walking its set bits yields the query list already sorted, and one
+/// fetch_values exchange fills it in.  A lookup ranks the id in the bitmap
+/// with a per-word popcount prefix plus a popcount of the masked word, so
+/// building costs O(|dsts| + |extras| + n/64) with no sort.
+///
+/// Memory: n/8 bytes of bitmap plus n/16 bytes of prefix per rank.  That
+/// grows with n, not n/P: the bitmap is smaller than a rank's own 4-byte
+/// value slice (4n/P bytes) only while P < 32, bitmap plus prefix only
+/// while P < 21.
+///
+/// SPMD: every rank constructs one, even with nothing to look up.
+/// `local_values` must hold exactly this rank's owned values and outlive
+/// the lookup.  kNoVertex entries are skipped; any other id >= n throws
+/// std::out_of_range.
+template <typename T>
+class NeighbourValues {
+ public:
+  NeighbourValues(simmpi::Comm& comm, const graph::BlockPartition& part,
+                  std::span<const graph::VertexId> dsts,
+                  std::span<const graph::VertexId> extras,
+                  const std::vector<T>& local_values)
+      : begin_(part.begin(comm.rank())), local_(local_values) {
+    if (local_values.size() != part.count(comm.rank())) {
+      throw std::invalid_argument(
+          "NeighbourValues: local_values size != owned vertex count");
+    }
+    const graph::VertexId n = part.num_vertices();
+    if (n > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("NeighbourValues: prefix counts are 32-bit");
+    }
+    const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+    bits_.assign(words, 0);
+    prefix_.resize(words);
+    auto mark = [&](std::span<const graph::VertexId> ids) {
+      for (const graph::VertexId v : ids) {
+        if (v >= n) {
+          if (v == graph::kNoVertex) continue;
+          throw std::out_of_range("NeighbourValues: vertex out of range");
+        }
+        if (v - begin_ >= local_.size()) {
+          bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
+        }
+      }
+    };
+    mark(dsts);
+    mark(extras);
+
+    std::vector<graph::VertexId> queries;
+    std::uint32_t rank_so_far = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      prefix_[w] = rank_so_far;
+      for (std::uint64_t word = bits_[w]; word != 0; word &= word - 1) {
+        queries.push_back(static_cast<graph::VertexId>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+      }
+      rank_so_far += static_cast<std::uint32_t>(std::popcount(bits_[w]));
+    }
+    remote_ = fetch_values(comm, part, queries, local_values);
+  }
+
+  /// Value of `v`, which must be owned or one of the construction ids.
+  [[nodiscard]] T operator()(graph::VertexId v) const {
+    const graph::VertexId offset = v - begin_;  // wraps for v < begin_
+    if (offset < local_.size()) return local_[offset];
+    const std::uint64_t below = (std::uint64_t{1} << (v & 63)) - 1;
+    return remote_[prefix_[v >> 6] +
+                   static_cast<std::uint32_t>(
+                       std::popcount(bits_[v >> 6] & below))];
+  }
+
+  /// Distinct remote ids that went through the exchange.
+  [[nodiscard]] std::size_t remote_count() const noexcept {
+    return remote_.size();
+  }
+
+ private:
+  graph::VertexId begin_;
+  std::span<const T> local_;
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::uint32_t> prefix_;
+  std::vector<T> remote_;
+};
 
 /// One entry of a multi-slot batched fetch: "value of `vertex` in value
 /// set `slot`".  Slots let one exchange answer queries against several

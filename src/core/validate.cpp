@@ -51,9 +51,9 @@ ValidationReport validate_sssp(simmpi::Comm& comm, const graph::DistGraph& g,
   const VertexId my_begin = g.part.begin(rank);
   const auto local_n = static_cast<LocalId>(g.part.count(rank));
 
-  if (mine.dist.size() != local_n || mine.parent.size() != local_n) {
-    c.fail("result size does not match owned vertex count");
-  }
+  const bool sized =
+      mine.dist.size() == local_n && mine.parent.size() == local_n;
+  if (!sized) c.fail("result size does not match owned vertex count");
   // Work on padded copies so a malformed result still keeps every rank's
   // collective sequence in lockstep (the verdict is already a failure).
   std::vector<Weight> dist = mine.dist;
@@ -62,47 +62,38 @@ ValidationReport validate_sssp(simmpi::Comm& comm, const graph::DistGraph& g,
   parent.resize(local_n, kNoVertex);
 
   // ---- V1: local consistency ------------------------------------------
+  // A parent id past the vertex range fails here and is cleared, even in a
+  // malformed result, so the lookups below stay in range on every rank.
   std::uint64_t reachable_local = 0;
-  if (c.ok()) {
-    for (LocalId v = 0; v < local_n; ++v) {
-      const VertexId gv = my_begin + v;
-      const bool has_parent = parent[v] != kNoVertex;
-      const bool has_dist = dist[v] != kInfDistance;
-      if (has_dist) ++reachable_local;
-      if (has_parent != has_dist) {
-        c.fail(describe("V1", gv, "parent/distance reachability mismatch"));
+  for (LocalId v = 0; v < local_n; ++v) {
+    const VertexId gv = my_begin + v;
+    if (parent[v] != kNoVertex && parent[v] >= g.num_vertices) {
+      c.fail(describe("V1", gv, "parent id out of range"));
+      parent[v] = kNoVertex;
+      continue;
+    }
+    if (!sized) continue;
+    const bool has_parent = parent[v] != kNoVertex;
+    const bool has_dist = dist[v] != kInfDistance;
+    if (has_dist) ++reachable_local;
+    if (has_parent != has_dist) {
+      c.fail(describe("V1", gv, "parent/distance reachability mismatch"));
+    }
+    if (gv == root) {
+      if (parent[v] != root || dist[v] != 0.0f) {
+        c.fail(describe("V1", gv, "root must be its own parent at dist 0"));
       }
-      if (gv == root) {
-        if (parent[v] != root || dist[v] != 0.0f) {
-          c.fail(describe("V1", gv, "root must be its own parent at dist 0"));
-        }
-      } else if (has_parent && parent[v] == gv) {
-        c.fail(describe("V1", gv, "non-root vertex is its own parent"));
-      }
-      if (has_dist && !(dist[v] >= 0.0f)) {
-        c.fail(describe("V1", gv, "negative distance"));
-      }
+    } else if (has_parent && parent[v] == gv) {
+      c.fail(describe("V1", gv, "non-root vertex is its own parent"));
+    }
+    if (has_dist && !(dist[v] >= 0.0f)) {
+      c.fail(describe("V1", gv, "negative distance"));
     }
   }
 
-  // ---- Fetch remote distances for V2/V3 --------------------------------
-  // One query per adjacency entry plus one per parent; deduplicated.
-  std::vector<VertexId> queries;
-  queries.reserve(g.csr.num_edges() + local_n);
-  for (std::uint64_t e = 0; e < g.csr.num_edges(); ++e) {
-    queries.push_back(g.csr.dst(e));
-  }
-  for (LocalId v = 0; v < local_n; ++v) {
-    if (parent[v] != kNoVertex) queries.push_back(parent[v]);
-  }
-  std::sort(queries.begin(), queries.end());
-  queries.erase(std::unique(queries.begin(), queries.end()), queries.end());
-  const std::vector<Weight> fetched =
-      fetch_values(comm, g.part, queries, dist);
-  auto dist_of = [&](VertexId v) -> Weight {
-    const auto it = std::lower_bound(queries.begin(), queries.end(), v);
-    return fetched[static_cast<std::size_t>(it - queries.begin())];
-  };
+  // ---- Distances of every neighbour and parent, for V2/V3 --------------
+  const NeighbourValues<Weight> dist_of(comm, g.part, g.csr.adjacency(),
+                                        parent, dist);
 
   // ---- V2: no relaxable edge -------------------------------------------
   std::uint64_t edges_checked_local = 0;
@@ -156,28 +147,34 @@ ValidationReport validate_sssp(simmpi::Comm& comm, const graph::DistGraph& g,
   // ---- V4: parent structure is a tree rooted at `root` ------------------
   // Pointer doubling: anchor[v] <- anchor[anchor[v]] until every reachable
   // vertex anchors at the root.  64 iterations cover any acyclic depth;
-  // non-convergence means a cycle or a stray forest.
+  // non-convergence means a cycle or a stray forest.  Only vertices still
+  // moving are updated: a vertex anchored at the root (its own parent, or
+  // V1 has failed) or an unreachable one anchored at itself is a fixed
+  // point of the update.
   {
     std::vector<VertexId> anchor(local_n);
+    std::vector<LocalId> moving;
     for (LocalId v = 0; v < local_n; ++v) {
       anchor[v] = parent[v] == kNoVertex ? my_begin + v : parent[v];
+      if (parent[v] != kNoVertex && anchor[v] != root) moving.push_back(v);
     }
     bool converged = false;
+    std::vector<VertexId> hops;
     for (int iter = 0; iter < 64; ++iter) {
-      bool moving_local = false;
-      for (LocalId v = 0; v < local_n; ++v) {
-        if (parent[v] != kNoVertex && anchor[v] != root) {
-          moving_local = true;
-          break;
-        }
-      }
-      if (!comm.allreduce_or(moving_local)) {
+      if (!comm.allreduce_or(!moving.empty())) {
         converged = true;
         break;
       }
+      hops.clear();
+      for (const LocalId v : moving) hops.push_back(anchor[v]);
       const std::vector<VertexId> next =
-          fetch_values(comm, g.part, anchor, anchor);
-      for (LocalId v = 0; v < local_n; ++v) anchor[v] = next[v];
+          fetch_values(comm, g.part, hops, anchor);
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < moving.size(); ++i) {
+        anchor[moving[i]] = next[i];
+        if (next[i] != root) moving[kept++] = moving[i];
+      }
+      moving.resize(kept);
     }
     if (!converged) {
       c.fail("V4 failed: parent pointers do not converge to the root "

@@ -4,7 +4,8 @@
 // same checks gate every benchmark run and test here:
 //
 //   V1  root/parent/dist local consistency (root is its own parent at
-//       distance 0; unreachable <=> no parent <=> infinite distance);
+//       distance 0; unreachable <=> no parent <=> infinite distance;
+//       parent ids lie in [0, n));
 //   V2  no relaxable edge remains: for every edge (u, v, w) with u
 //       reachable, dist[v] <= dist[u] + w (up to float tolerance);
 //   V3  every reachable non-root vertex has a tree edge: an edge

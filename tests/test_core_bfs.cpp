@@ -196,6 +196,20 @@ TEST(Bfs, ValidatorCatchesForgedParent) {
   });
 }
 
+TEST(Bfs, ValidatorRejectsOutOfRangeParent) {
+  const EdgeList list = path_graph(16);
+  simmpi::World world(3);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_distributed(
+        comm, slice_for_rank(list, comm.rank(), comm.size()), 16);
+    core::BfsResult mine = core::bfs(comm, g, 0);
+    if (comm.rank() == 0) mine.parent[2] = g.num_vertices + 7;
+    core::BfsValidationReport verdict;
+    EXPECT_NO_THROW(verdict = core::validate_bfs(comm, g, 0, mine));
+    EXPECT_FALSE(verdict.ok);
+  });
+}
+
 TEST(Bfs, RootOutOfRangeThrows) {
   EdgeList list = path_graph(4);
   simmpi::World world(2);

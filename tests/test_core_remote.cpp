@@ -144,6 +144,83 @@ TEST(FetchValues, OrderPreservedUnderSkewedOwnership) {
   });
 }
 
+// ------------------------------------------------------ NeighbourValues
+
+TEST(NeighbourValues, LooksUpDuplicatesOwnedAndEveryOtherRank) {
+  simmpi::World world(4);
+  world.run([](simmpi::Comm& comm) {
+    const BlockPartition part(50, comm.size());
+    std::vector<std::uint64_t> local(part.count(comm.rank()));
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      local[i] = (part.begin(comm.rank()) + i) * 10 + 1;
+    }
+    // Every vertex of every other rank, each twice, plus owned ids.
+    std::vector<VertexId> dsts;
+    for (VertexId v = 0; v < 50; ++v) {
+      dsts.push_back(v);
+      dsts.push_back(49 - v);
+    }
+    const std::vector<VertexId> extras = {
+        0, 49, graph::kNoVertex, static_cast<VertexId>(part.begin(comm.rank()))};
+    const core::NeighbourValues<std::uint64_t> value_of(comm, part, dsts,
+                                                        extras, local);
+    for (const VertexId v : dsts) EXPECT_EQ(value_of(v), v * 10 + 1) << v;
+    EXPECT_EQ(value_of(0), 1u);
+    EXPECT_EQ(value_of(49), 491u);
+    // Owned ids stay out of the exchange; duplicates are fetched once.
+    EXPECT_EQ(value_of.remote_count(), 50 - part.count(comm.rank()));
+  });
+}
+
+TEST(NeighbourValues, RankOwningNoVertices) {
+  simmpi::World world(4);
+  world.run([](simmpi::Comm& comm) {
+    // 3 vertices over 4 ranks: rank 3 owns nothing and still takes part.
+    const BlockPartition part(3, comm.size());
+    std::vector<int> local(part.count(comm.rank()));
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      local[i] = static_cast<int>(part.begin(comm.rank()) + i) - 5;
+    }
+    std::vector<VertexId> dsts;
+    if (comm.rank() != 0) dsts = {2, 0, 2};
+    const core::NeighbourValues<int> value_of(comm, part, dsts, {}, local);
+    for (const VertexId v : dsts) {
+      EXPECT_EQ(value_of(v), static_cast<int>(v) - 5);
+    }
+    if (comm.rank() == 3) {
+      EXPECT_TRUE(local.empty());
+      EXPECT_EQ(value_of.remote_count(), 2u);
+    }
+  });
+}
+
+TEST(NeighbourValues, SingleRankNeedsNoExchange) {
+  simmpi::World world(1);
+  world.run([](simmpi::Comm& comm) {
+    const BlockPartition part(6, 1);
+    const std::vector<float> local = {0.f, 1.f, 2.f, 3.f, 4.f, 5.f};
+    const std::vector<VertexId> dsts = {5, 1, 5};
+    const std::vector<VertexId> extras = {3};
+    const core::NeighbourValues<float> value_of(comm, part, dsts, extras,
+                                                local);
+    EXPECT_EQ(value_of(5), 5.f);
+    EXPECT_EQ(value_of(3), 3.f);
+    EXPECT_EQ(value_of.remote_count(), 0u);
+  });
+}
+
+TEST(NeighbourValues, RejectsOutOfRangeId) {
+  simmpi::World world(1);
+  EXPECT_THROW(world.run([](simmpi::Comm& comm) {
+                 const BlockPartition part(4, 1);
+                 const std::vector<int> local(4, 0);
+                 const std::vector<VertexId> dsts = {1, 4};
+                 const core::NeighbourValues<int> value_of(comm, part, dsts,
+                                                           {}, local);
+               }),
+               std::out_of_range);
+}
+
 // ------------------------------------------------------ fetch_values_batched
 
 TEST(FetchValuesBatched, AnswersAcrossSlotsInQueryOrder) {

@@ -2,10 +2,14 @@
 // result and reject each class of corruption.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/delta_stepping.hpp"
+#include "core/runner.hpp"
 #include "core/validate.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/shard.hpp"
 #include "simmpi/comm.hpp"
 
 namespace {
@@ -154,6 +158,170 @@ TEST(Validate, UnreachableVerticesAreAccepted) {
     EXPECT_TRUE(verdict.ok);
     EXPECT_EQ(verdict.reachable, 2u);  // only {0, 1}
   });
+}
+
+TEST(Validate, RejectsOutOfRangeParentWithoutThrowing) {
+  core::ValidationReport verdict;
+  EXPECT_NO_THROW(verdict = corrupted_verdict(
+                      kGrid, 0, [](core::SsspResult& r, const DistGraph& g) {
+                        r.parent[2] = g.num_vertices + 7;
+                      }));
+  EXPECT_FALSE(verdict.ok);
+  ASSERT_FALSE(verdict.errors.empty());
+  EXPECT_NE(verdict.errors[0].find("out of range"), std::string::npos);
+}
+
+/// Validate a hand-written global result: each rank passes its own slice
+/// of `dist` / `parent`.  Returns rank 0's verdict.
+core::ValidationReport forged_verdict(const EdgeList& list, int ranks,
+                                      VertexId root,
+                                      const std::vector<Weight>& dist,
+                                      const std::vector<VertexId>& parent) {
+  core::ValidationReport verdict;
+  simmpi::World world(ranks);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_distributed(
+        comm, slice_for_rank(list, comm.rank(), comm.size()),
+        list.num_vertices);
+    const auto b = static_cast<std::ptrdiff_t>(g.part.begin(comm.rank()));
+    const auto e = static_cast<std::ptrdiff_t>(g.part.end(comm.rank()));
+    core::SsspResult mine;
+    mine.dist.assign(dist.begin() + b, dist.begin() + e);
+    mine.parent.assign(parent.begin() + b, parent.begin() + e);
+    const auto v = core::validate_sssp(comm, g, root, mine);
+    if (comm.rank() == 0) verdict = v;
+  });
+  return verdict;
+}
+
+bool mentions(const core::ValidationReport& r, const std::string& check) {
+  for (const auto& e : r.errors) {
+    if (e.find(check) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(Validate, DetectsParentCycleAcrossRanks) {
+  // Path 0-1-2-3 over 2 ranks ({0, 1} and {2, 3}).  The 1-2 edge weighs
+  // less than the tolerance, so a forged 1 <-> 2 cycle at equal distances
+  // passes V1-V3 and only pointer doubling can reject it.
+  EdgeList list;
+  list.num_vertices = 4;
+  list.edges = {{0, 1, 0.5f}, {1, 2, 1e-7f}, {2, 3, 0.25f}};
+  const std::vector<Weight> dist = {0.0f, 0.5f, 0.5f + 1e-7f,
+                                    0.75f + 1e-7f};
+  const std::vector<VertexId> tree = {0, 0, 1, 2};
+  EXPECT_TRUE(forged_verdict(list, 2, 0, dist, tree).ok);
+
+  std::vector<Weight> cyc_dist = dist;
+  cyc_dist[2] = cyc_dist[1];
+  const std::vector<VertexId> cycle = {0, 2, 1, 2};
+  const auto verdict = forged_verdict(list, 2, 0, cyc_dist, cycle);
+  EXPECT_FALSE(verdict.ok);
+  EXPECT_TRUE(mentions(verdict, "V4"));
+  EXPECT_FALSE(mentions(verdict, "V1"));
+  EXPECT_FALSE(mentions(verdict, "V3"));
+}
+
+TEST(Validate, DetectsStrayTreeTopOwnedByAnotherRank) {
+  // Root 0 reaches only {0, 1}.  A forged tree 2 -> 3 -> 4 and 5 -> 4 hangs
+  // from vertex 4, which is unreachable and owned by rank 1 while vertex 2
+  // sits on rank 0.  Vertex 4 is a fixed point of the doubling step; the
+  // tree below it never reaches the root.
+  EdgeList list;
+  list.num_vertices = 6;
+  list.edges = {{0, 1, 0.5f}, {2, 3, 0.25f}, {3, 4, 0.25f}, {4, 5, 0.25f}};
+  const std::vector<Weight> dist = {0.0f, 0.5f, 1.25f, 1.0f,
+                                    kInfDistance, 1.0f};
+  const std::vector<VertexId> parent = {0, 0, 3, 4, kNoVertex, 4};
+  const auto verdict = forged_verdict(list, 2, 0, dist, parent);
+  EXPECT_FALSE(verdict.ok);
+  EXPECT_TRUE(mentions(verdict, "V4"));
+}
+
+TEST(Validate, DeepPathTreeValidatesOnFourRanks) {
+  // Depth 299 from one end: pointer doubling needs ~9 rounds, and most
+  // vertices hop across rank boundaries on the way to the root.
+  const EdgeList list = path_graph(300, 17);
+  simmpi::World world(4);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_distributed(
+        comm, slice_for_rank(list, comm.rank(), comm.size()), 300);
+    const auto mine = core::delta_stepping(comm, g, 0);
+    const auto verdict = core::validate_sssp(comm, g, 0, mine);
+    EXPECT_TRUE(verdict.ok);
+    EXPECT_EQ(verdict.reachable, 300u);
+    EXPECT_EQ(verdict.edges_checked, 2u * 299u);
+  });
+}
+
+TEST(Validate, CountsAreIdenticalAcrossRankCounts) {
+  // A grid plus a separate island: some vertices stay unreachable.
+  EdgeList list = grid_graph(9, 11, 5);
+  const VertexId n = list.num_vertices;
+  list.num_vertices = n + 3;
+  list.edges.push_back({n, n + 1, 0.4f});
+  list.edges.push_back({n + 1, n + 2, 0.4f});
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
+  for (const int ranks : {1, 2, 3, 4}) {
+    simmpi::World world(ranks);
+    world.run([&](simmpi::Comm& comm) {
+      const DistGraph g = build_distributed(
+          comm, slice_for_rank(list, comm.rank(), comm.size()),
+          list.num_vertices);
+      const auto mine = core::delta_stepping(comm, g, 7);
+      const auto verdict = core::validate_sssp(comm, g, 7, mine);
+      EXPECT_TRUE(verdict.ok) << ranks << " ranks";
+      if (comm.rank() == 0) {
+        counts.emplace_back(verdict.edges_checked, verdict.reachable);
+      }
+    });
+  }
+  ASSERT_EQ(counts.size(), 4u);
+  EXPECT_EQ(counts[0].second, n);
+  for (const auto& c : counts) EXPECT_EQ(c, counts[0]);
+}
+
+TEST(Validate, MappedShardGraph) {
+  // Spill an in-memory build to shards, map them back (GraphBacking::
+  // kMapped) and validate a solve over the mapped views: a correct result
+  // passes and a corrupted one fails.
+  KroneckerParams params;
+  params.scale = 8;
+  const std::string dir = ::testing::TempDir() + "/g500_validate_mapped";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const int ranks = 3;
+  simmpi::World world(ranks);
+  world.run([&](simmpi::Comm& comm) {
+    {
+      const DistGraph mem = build_kronecker(comm, params);
+      write_shard(shard_path(dir, comm.rank(), ranks), mem, comm.rank());
+    }
+    comm.barrier();
+    const DistGraph g = load_sharded(comm, dir);
+    ASSERT_EQ(g.backing, GraphBacking::kMapped);
+    const auto roots = core::sample_roots(comm, g, 2, 0x5eed);
+    ASSERT_FALSE(roots.empty());
+    for (const VertexId root : roots) {
+      core::SsspResult mine = core::delta_stepping(comm, g, root);
+      const auto good = core::validate_sssp(comm, g, root, mine);
+      EXPECT_TRUE(good.ok);
+      EXPECT_GT(good.reachable, 1u);
+      // Shorten one reachable non-root distance on rank 0: V3 must fail.
+      if (comm.rank() == 0) {
+        for (LocalId v = 0; v < mine.dist.size(); ++v) {
+          if (g.part.begin(0) + v != root && mine.dist[v] > 0.0f &&
+              mine.dist[v] != kInfDistance) {
+            mine.dist[v] *= 0.5f;
+            break;
+          }
+        }
+      }
+      EXPECT_FALSE(core::validate_sssp(comm, g, root, mine).ok);
+    }
+  });
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
