@@ -79,13 +79,15 @@ int main(int argc, char** argv) {
     report.doc()["frontier_percentiles"] = std::move(fq);
   }
 
-  // Per-bucket time series of the first solve (rank 0's view).
+  // Per-bucket time series of one solve from a sampled root (rank 0's
+  // view); a fixed id such as 1 is isolated at common scales.
   {
     simmpi::World world(ranks);
     world.run([&](simmpi::Comm& comm) {
       const graph::DistGraph g = graph::build_kronecker(comm, params);
+      const auto root = core::sample_roots(comm, g, 1, 0x9500).at(0);
       core::SsspStats stats;
-      (void)core::delta_stepping(comm, g, 1, config, &stats);
+      (void)core::delta_stepping(comm, g, root, config, &stats);
       if (comm.rank() == 0) {
         const util::Json sj = core::to_json(stats);
         if (sj.contains("bucket_trace")) {
@@ -112,7 +114,9 @@ int main(int argc, char** argv) {
   }
   std::cout << "Expected shape: a few giant-frontier rounds hold most "
                "vertices (pull territory),\na long tail of tiny rounds "
-               "(latency territory); light phase dominates heavy.\n\n";
+               "(latency territory); the heavy phase outweighs the\nlight "
+               "one, since every settled vertex pushes all its long edges "
+               "once.\n\n";
 
   // --- Async vs sync (gated) -------------------------------------------
   // Same graph, same roots: run both engines back to back on every rank,

@@ -1,29 +1,23 @@
 #include "core/async_delta_stepping.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
-#include "core/bucket_queue.hpp"
 #include "core/delta_stepping.hpp"
+#include "core/relax_core.hpp"
 #include "simmpi/aggregator.hpp"
 #include "util/timer.hpp"
 
 namespace g500::core {
 
-using graph::kInfDistance;
-using graph::kNoVertex;
-using graph::LocalId;
 using graph::VertexId;
-using graph::Weight;
 
 namespace {
 
-/// One rank's asynchronous engine, templated on the wire record: the wide
-/// RelaxRequest or the 12-byte PackedRelaxRequest (compress on and the
-/// graph small enough for 32-bit ids, the same rule the sync engine uses).
+/// One rank's asynchronous engine, templated on the wire record (see
+/// relax_core.hpp).  The relaxation itself is the shared core; this class
+/// adds only the schedule (poll, expand, quiescence) and the transport.
 template <typename Msg>
 class AsyncEngine {
  public:
@@ -34,40 +28,14 @@ class AsyncEngine {
         g_(g),
         config_(config),
         stats_(stats),
-        local_n_(static_cast<std::size_t>(g.part.count(comm.rank()))),
-        my_begin_(g.part.begin(comm.rank())),
-        delta_(config.delta > 0.0 ? config.delta : auto_delta(g)),
-        queue_(local_n_),
-        dist_(local_n_, kInfDistance),
-        parent_(local_n_, kNoVertex),
+        core_(comm, g, roots, config, stats, "async_delta_stepping"),
         agg_(comm, make_options(config)) {
-    if (roots.empty()) {
-      throw std::invalid_argument("async_delta_stepping: no roots");
-    }
-    if (config.prune_lb != nullptr) {
-      // Pruning drops candidates against a budget that only monotone
-      // (synchronized) execution keeps admissible; a chaotic schedule could
-      // prune a path the fixed point needs.
-      throw std::invalid_argument(
-          "async_delta_stepping: goal-directed pruning requires the "
-          "synchronous engine");
-    }
-    for (const auto root : roots) {
-      if (root >= g.num_vertices) {
-        throw std::out_of_range("async_delta_stepping: root out of range");
-      }
-    }
-    init_hub_cache();
-    agg_.set_compactor([this](std::vector<Msg>& buf) { compact(buf); });
-    for (const auto root : roots) {
-      if (g_.part.owner(root) == comm_.rank()) {
-        const auto lr = g_.part.local(root);
-        dist_[lr] = 0.0f;
-        parent_[lr] = root;
-        queue_.update(lr, 0);
-      }
-    }
+    agg_.set_compactor([this](std::vector<Msg>& buf) { core_.compact(buf); });
+    core_.seed(roots);
   }
+  // The aggregator's compactor holds `this`.
+  AsyncEngine(const AsyncEngine&) = delete;
+  AsyncEngine& operator=(const AsyncEngine&) = delete;
 
   SsspResult run() {
     util::Timer total;
@@ -85,8 +53,8 @@ class AsyncEngine {
     stats_.aggregator_flush_timeout = cs.p2p_flush_timeout - timeout0;
 
     SsspResult result;
-    result.dist = std::move(dist_);
-    result.parent = std::move(parent_);
+    result.dist = std::move(core_.dist);
+    result.parent = std::move(core_.parent);
     return result;
   }
 
@@ -98,137 +66,34 @@ class AsyncEngine {
     return options;
   }
 
-  void init_hub_cache() {
-    if (!config_.hub_cache || g_.hubs.empty()) return;
-    hub_mirror_.assign(g_.hubs.size(), kInfDistance);
-    hub_index_.reserve(g_.hubs.size() * 2);
-    for (std::size_t i = 0; i < g_.hubs.size(); ++i) {
-      hub_index_.emplace(g_.hubs[i], static_cast<std::uint32_t>(i));
+  /// Route every edge of every vertex queued in bucket k through `sink`.
+  template <typename Sink>
+  void expand_bucket(std::uint64_t k, Sink&& sink) {
+    for (const auto v : core_.queue.extract(k)) {
+      core_.expand<Msg>(v, g_.csr.edges_begin(v), g_.csr.edges_end(v), sink);
     }
-  }
-
-  [[nodiscard]] std::uint64_t bucket_of(Weight d) const {
-    return static_cast<std::uint64_t>(static_cast<double>(d) / delta_);
-  }
-
-  // --------------------------------------------------------- wire format
-
-  [[nodiscard]] Msg encode(int owner, VertexId target, Weight cand,
-                           VertexId via) const {
-    if constexpr (std::is_same_v<Msg, PackedRelaxRequest>) {
-      return PackedRelaxRequest{
-          static_cast<std::uint32_t>(target - g_.part.begin(owner)),
-          static_cast<std::uint32_t>(via), cand};
-    } else {
-      return RelaxRequest{target, via, cand};
-    }
-  }
-
-  void apply(const Msg& m) {
-    ++stats_.relax_received;
-    if constexpr (std::is_same_v<Msg, PackedRelaxRequest>) {
-      relax_local(static_cast<LocalId>(m.target_local), m.dist,
-                  static_cast<VertexId>(m.parent));
-    } else {
-      relax_local(g_.part.local(m.target), m.dist, m.parent);
-    }
-  }
-
-  /// Flush hook: dedup to the best candidate per target (the aggregator
-  /// analog of the sync engine's per-round coalescing), then count what
-  /// actually ships.
-  void compact(std::vector<Msg>& buf) {
-    if (config_.coalesce && buf.size() > 1) {
-      const auto key = [](const Msg& m) {
-        if constexpr (std::is_same_v<Msg, PackedRelaxRequest>) {
-          return m.target_local;
-        } else {
-          return m.target;
-        }
-      };
-      std::sort(buf.begin(), buf.end(), [&](const Msg& a, const Msg& b) {
-        if (key(a) != key(b)) return key(a) < key(b);
-        if (a.dist != b.dist) return a.dist < b.dist;
-        return a.parent < b.parent;
-      });
-      const auto last = std::unique(
-          buf.begin(), buf.end(),
-          [&](const Msg& a, const Msg& b) { return key(a) == key(b); });
-      stats_.filtered_coalesce += static_cast<std::uint64_t>(buf.end() - last);
-      buf.erase(last, buf.end());
-    }
-    stats_.relax_sent += buf.size();
-  }
-
-  // ------------------------------------------------------------ relaxing
-
-  bool relax_local(LocalId v, Weight cand, VertexId via) {
-    if (!(cand < dist_[v])) return false;
-    dist_[v] = cand;
-    parent_[v] = via;
-    const std::uint64_t b = bucket_of(cand);
-    queue_.update(v, b);
-    hint_ = std::min(hint_, b);
-    ++stats_.relax_applied;
-    return true;
-  }
-
-  /// Route one generated candidate: hub filter, local fusion, or the
-  /// aggregator.  Unlike the sync engine the hub mirror is never tightened
-  /// by a collective — it only records candidates this rank itself shipped,
-  /// which still upper-bounds the owner's authoritative distance (the
-  /// invariant the filter needs), just less tightly.
-  void route_candidate(VertexId target, Weight cand, VertexId via) {
-    ++stats_.relax_generated;
-    const int owner = g_.part.owner(target);
-    const bool is_local = owner == comm_.rank();
-
-    if (!hub_mirror_.empty()) {
-      const auto it = hub_index_.find(target);
-      if (it != hub_index_.end()) {
-        const Weight ref = is_local ? dist_[g_.part.local(target)]
-                                    : hub_mirror_[it->second];
-        if (!(cand < ref)) {
-          ++stats_.filtered_hub;
-          return;
-        }
-        if (!is_local) hub_mirror_[it->second] = cand;
-      }
-    }
-
-    if (is_local && config_.local_fusion) {
-      relax_local(g_.part.local(target), cand, via);
-      ++stats_.fused_local;
-      return;
-    }
-    agg_.send(owner, encode(owner, target, cand, via));
   }
 
   // ---------------------------------------------------------- async phase
 
-  /// Expand every edge of every vertex in bucket k.  No light/heavy split:
-  /// without a drained-bucket barrier there is no "settled" set to defer
-  /// heavy edges for, and re-expansion on improvement keeps correctness.
-  void expand_bucket(std::uint64_t k) {
-    const std::vector<LocalId> active = queue_.extract(k);
-    for (const auto v : active) {
-      const Weight d = dist_[v];
-      const VertexId via = my_begin_ + v;
-      const std::uint64_t last = g_.csr.edges_end(v);
-      for (std::uint64_t e = g_.csr.edges_begin(v); e < last; ++e) {
-        route_candidate(g_.csr.dst(e), d + g_.csr.weight(e), via);
-      }
-    }
-  }
-
+  /// Expansion sends through the aggregator.  Unlike the sync engine the
+  /// hub mirror is never tightened by a collective — it only records
+  /// candidates this rank itself shipped, which still upper-bounds the
+  /// owner's authoritative distance (the invariant the filter needs), just
+  /// less tightly.  No light/heavy split: without a drained-bucket barrier
+  /// there is no "settled" set to defer heavy edges for, and re-expansion
+  /// on improvement keeps correctness.
   void async_phase() {
+    const auto to_aggregator = [this](int owner, const Msg& m) {
+      agg_.send(owner, m);
+    };
     std::vector<Msg> inbox;
     while (!agg_.quiescent()) {
       inbox.clear();
       agg_.poll(inbox);
-      for (const Msg& m : inbox) apply(m);
+      core_.apply(inbox);
 
-      const std::uint64_t k = queue_.next_nonempty(hint_);
+      const std::uint64_t k = core_.queue.next_nonempty(core_.hint);
       if (k != BucketQueue::kNone) {
         ++stats_.sub_rounds;
         ++stats_.buckets_processed;
@@ -237,8 +102,8 @@ class AsyncEngine {
           throw std::runtime_error(
               "async_delta_stepping: max_buckets exceeded");
         }
-        hint_ = k;  // relaxations may refill this very bucket
-        expand_bucket(k);
+        core_.hint = k;  // relaxations may refill this very bucket
+        expand_bucket(k, to_aggregator);
       } else if (inbox.empty()) {
         // Locally idle: ship any buffered residue and drive the
         // termination token; peers may still wake us with new candidates.
@@ -250,50 +115,32 @@ class AsyncEngine {
     // drain defensively: a stray record here is caught by settle_sync.
     inbox.clear();
     agg_.poll(inbox);
-    for (const Msg& m : inbox) apply(m);
+    core_.apply(inbox);
   }
 
   // --------------------------------------------------------- settle phase
 
   /// Synchronous convergence certification: Bellman-Ford-style rounds over
   /// whatever the async phase left queued, until a global allreduce agrees
-  /// the queues are empty everywhere.  Quiescence detection makes this a
-  /// single empty round in practice, but the fixed-point guarantee —
-  /// distances identical to the synchronous engine — rests on this sweep,
-  /// not on the token protocol.
+  /// the queues are empty everywhere.  Each round routes through the
+  /// shared core and exchanges with the sync engine's BSP exchange.
+  /// Quiescence detection makes this a single empty round in practice, but
+  /// the fixed-point guarantee — distances identical to the synchronous
+  /// engine — rests on this sweep, not on the token protocol.
   void settle_sync() {
-    std::vector<std::vector<RelaxRequest>> outbox(
+    std::vector<std::vector<Msg>> outbox(
         static_cast<std::size_t>(comm_.size()));
-    while (true) {
-      const bool work = queue_.next_nonempty(0) != BucketQueue::kNone;
-      if (!comm_.allreduce_or(work)) break;
+    const auto to_outbox = [&outbox](int owner, const Msg& m) {
+      outbox[static_cast<std::size_t>(owner)].push_back(m);
+    };
+    while (comm_.allreduce_or(core_.queue.next_nonempty(0) !=
+                              BucketQueue::kNone)) {
       ++stats_.sub_rounds;
       std::uint64_t k = 0;
-      while ((k = queue_.next_nonempty(k)) != BucketQueue::kNone) {
-        for (const auto v : queue_.extract(k)) {
-          const Weight d = dist_[v];
-          const VertexId via = my_begin_ + v;
-          const std::uint64_t last = g_.csr.edges_end(v);
-          for (std::uint64_t e = g_.csr.edges_begin(v); e < last; ++e) {
-            ++stats_.relax_generated;
-            const VertexId target = g_.csr.dst(e);
-            const int owner = g_.part.owner(target);
-            if (owner == comm_.rank()) {
-              relax_local(g_.part.local(target), d + g_.csr.weight(e), via);
-            } else {
-              outbox[static_cast<std::size_t>(owner)].push_back(
-                  RelaxRequest{target, via, d + g_.csr.weight(e)});
-            }
-          }
-        }
+      while ((k = core_.queue.next_nonempty(k)) != BucketQueue::kNone) {
+        expand_bucket(k, to_outbox);
       }
-      for (const auto& box : outbox) stats_.relax_sent += box.size();
-      const std::vector<RelaxRequest> incoming = comm_.alltoallv(outbox);
-      for (auto& box : outbox) box.clear();
-      stats_.relax_received += incoming.size();
-      for (const auto& req : incoming) {
-        relax_local(g_.part.local(req.target), req.dist, req.parent);
-      }
+      core_.exchange(outbox);
     }
   }
 
@@ -304,35 +151,27 @@ class AsyncEngine {
   const SsspConfig& config_;
   SsspStats& stats_;
 
-  std::size_t local_n_;
-  VertexId my_begin_;
-  double delta_;
-
-  BucketQueue queue_;
-  std::uint64_t hint_ = 0;
-  std::vector<Weight> dist_;
-  std::vector<VertexId> parent_;
-
-  std::unordered_map<VertexId, std::uint32_t> hub_index_;
-  std::vector<Weight> hub_mirror_;
-
+  RelaxCore core_;
   simmpi::Aggregator<Msg> agg_;
 };
 
 SsspResult dispatch(simmpi::Comm& comm, const graph::DistGraph& g,
                     const std::vector<VertexId>& roots,
                     const SsspConfig& config, SsspStats* stats) {
+  if (config.prune_lb != nullptr) {
+    // Pruning drops candidates against a budget that only monotone
+    // (synchronized) execution keeps admissible; a chaotic schedule could
+    // prune a path the fixed point needs.
+    throw std::invalid_argument(
+        "async_delta_stepping: goal-directed pruning requires the "
+        "synchronous engine");
+  }
   SsspStats local_stats;
   SsspStats& s = stats != nullptr ? *stats : local_stats;
-  const bool packed =
-      config.compress &&
-      g.num_vertices <= std::numeric_limits<std::uint32_t>::max();
-  if (packed) {
-    AsyncEngine<PackedRelaxRequest> engine(comm, g, roots, config, s);
+  return with_wire_record(config, g.num_vertices, [&](auto record) {
+    AsyncEngine<decltype(record)> engine(comm, g, roots, config, s);
     return engine.run();
-  }
-  AsyncEngine<RelaxRequest> engine(comm, g, roots, config, s);
-  return engine.run();
+  });
 }
 
 }  // namespace

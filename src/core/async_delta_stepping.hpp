@@ -20,13 +20,16 @@
 // is goal-directed pruning, whose correctness depends on a monotone
 // execution order; passing SsspConfig::prune_lb throws.
 //
+// Relaxation, routing, coalescing and the wire format are the shared core
+// of relax_core.hpp; this engine adds only its schedule and transport.
 // Config knobs honoured: delta, coalesce (per-flush dedup), hub_cache
 // (send-side mirror, tightened locally instead of by allreduce),
 // local_fusion, compress, aggregator_capacity, aggregator_max_age,
-// max_buckets (counts per-rank bucket expansions here).  Ignored —
+// max_buckets (counts per-rank bucket expansions here).  The settle sweep
+// routes and exchanges like a synchronous round, so it honours the hub
+// filter, local_fusion, coalesce and hierarchical_group too.  Ignored —
 // meaningless without synchronized rounds: direction_opt (pull needs a
-// globally agreed frontier), hierarchical_group (no alltoallv to
-// restructure), checkpoint_interval, collect_bucket_trace.
+// globally agreed frontier), checkpoint_interval, collect_bucket_trace.
 #pragma once
 
 #include "core/dijkstra.hpp"

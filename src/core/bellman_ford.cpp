@@ -1,70 +1,38 @@
 #include "core/bellman_ford.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <limits>
 
+#include "core/relax_core.hpp"
 #include "util/timer.hpp"
 
 namespace g500::core {
 
-using graph::kInfDistance;
-using graph::kNoVertex;
-using graph::LocalId;
 using graph::VertexId;
 using graph::Weight;
 
 SsspResult bellman_ford(simmpi::Comm& comm, const graph::DistGraph& g,
                         VertexId root, const SsspConfig& config,
                         SsspStats* stats) {
-  if (root >= g.num_vertices) {
-    throw std::out_of_range("bellman_ford: root out of range");
-  }
+  check_roots({root}, g.num_vertices, "bellman_ford");
   SsspStats scratch;
   SsspStats& st = stats != nullptr ? *stats : scratch;
   util::Timer total;
 
-  const auto local_n = static_cast<std::size_t>(g.part.count(comm.rank()));
-  const VertexId my_begin = g.part.begin(comm.rank());
-
-  SsspResult result;
-  result.dist.assign(local_n, kInfDistance);
-  result.parent.assign(local_n, kNoVertex);
-
-  std::vector<LocalId> active;
-  std::vector<char> queued(local_n, 0);
-  auto enqueue = [&](LocalId v) {
-    if (queued[v] == 0) {
-      queued[v] = 1;
-      active.push_back(v);
-    }
-  };
-  auto relax_local = [&](LocalId v, Weight cand, VertexId via) {
-    if (cand < result.dist[v]) {
-      result.dist[v] = cand;
-      result.parent[v] = via;
-      ++st.relax_applied;
-      enqueue(v);
-    }
-  };
-
-  if (g.part.owner(root) == comm.rank()) {
-    const auto lr = g.part.local(root);
-    result.dist[lr] = 0.0f;
-    result.parent[lr] = root;
-    enqueue(lr);
-  }
+  // Bellman-Ford is delta-stepping with one bucket of infinite width:
+  // every improved vertex lands in bucket 0, and each round expands the
+  // whole of it.
+  RelaxState state(g.part, comm.rank(),
+                   std::numeric_limits<double>::infinity(), st);
+  state.seed({root});
 
   std::vector<std::vector<RelaxRequest>> outbox(
       static_cast<std::size_t>(comm.size()));
-  while (comm.allreduce_or(!active.empty())) {
+  while (comm.allreduce_or(state.queue.next_nonempty(0) !=
+                           BucketQueue::kNone)) {
     ++st.light_iterations;  // BF has a single phase class; reuse the counter
-    std::vector<LocalId> frontier;
-    frontier.swap(active);
-    for (const auto v : frontier) queued[v] = 0;
-
-    for (const auto v : frontier) {
-      const Weight d = result.dist[v];
-      const VertexId via = my_begin + v;
+    for (const auto v : state.queue.extract(0)) {
+      const Weight d = state.dist[v];
+      const VertexId via = state.my_begin + v;
       for (std::uint64_t e = g.csr.edges_begin(v); e < g.csr.edges_end(v);
            ++e) {
         ++st.relax_generated;
@@ -72,7 +40,7 @@ SsspResult bellman_ford(simmpi::Comm& comm, const graph::DistGraph& g,
         const Weight cand = d + g.csr.weight(e);
         const int owner = g.part.owner(target);
         if (owner == comm.rank() && config.local_fusion) {
-          relax_local(g.part.local(target), cand, via);
+          state.relax_local(g.part.local(target), cand, via);
           ++st.fused_local;
         } else {
           outbox[static_cast<std::size_t>(owner)].push_back(
@@ -82,33 +50,18 @@ SsspResult bellman_ford(simmpi::Comm& comm, const graph::DistGraph& g,
     }
 
     if (config.coalesce) {
-      for (auto& box : outbox) {
-        if (box.size() < 2) continue;
-        std::sort(box.begin(), box.end(),
-                  [](const RelaxRequest& a, const RelaxRequest& b) {
-                    if (a.target != b.target) return a.target < b.target;
-                    if (a.dist != b.dist) return a.dist < b.dist;
-                    return a.parent < b.parent;
-                  });
-        const auto last =
-            std::unique(box.begin(), box.end(),
-                        [](const RelaxRequest& a, const RelaxRequest& b) {
-                          return a.target == b.target;
-                        });
-        st.filtered_coalesce += static_cast<std::uint64_t>(box.end() - last);
-        box.erase(last, box.end());
-      }
+      for (auto& box : outbox) st.filtered_coalesce += coalesce_min(box);
     }
     for (const auto& box : outbox) st.relax_sent += box.size();
     const std::vector<RelaxRequest> incoming = comm.alltoallv(outbox);
     for (auto& box : outbox) box.clear();
-    st.relax_received += incoming.size();
-    for (const auto& req : incoming) {
-      relax_local(g.part.local(req.target), req.dist, req.parent);
-    }
+    state.apply(incoming);
   }
 
   st.total_seconds = total.seconds();
+  SsspResult result;
+  result.dist = std::move(state.dist);
+  result.parent = std::move(state.parent);
   return result;
 }
 

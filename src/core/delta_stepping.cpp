@@ -1,36 +1,29 @@
 #include "core/delta_stepping.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "core/bucket_queue.hpp"
 #include "core/checkpoint.hpp"
-#include "simmpi/hierarchical.hpp"
+#include "core/relax_core.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
 
 namespace g500::core {
 
 using graph::kInfDistance;
-using graph::kNoVertex;
 using graph::LocalId;
 using graph::VertexId;
 using graph::Weight;
 
 double auto_delta(const graph::DistGraph& g) {
-  const double avg_degree =
-      std::max(1.0, static_cast<double>(g.num_directed_edges) /
-                        static_cast<double>(g.num_vertices));
-  return std::clamp(1.0 / avg_degree, 1.0 / 64.0, 1.0);
+  return effective_delta(SsspConfig{}, g);
 }
 
 namespace {
 
-/// All per-run state of one rank's engine.
+/// All per-run state of one rank's engine, templated on the wire record
+/// (see relax_core.hpp): the outboxes hold encoded records directly.
+template <typename Msg>
 class Engine {
  public:
   Engine(simmpi::Comm& comm, const graph::DistGraph& g,
@@ -42,43 +35,22 @@ class Engine {
         g_(g),
         config_(config),
         stats_(stats),
-        local_n_(static_cast<std::size_t>(g.part.count(comm.rank()))),
-        my_begin_(g.part.begin(comm.rank())),
-        delta_(config.delta > 0.0 ? config.delta : auto_delta(g)),
-        queue_(local_n_),
-        dist_(local_n_, kInfDistance),
-        parent_(local_n_, kNoVertex),
-        r_tag_(local_n_, BucketQueue::kNone),
-        outbox_(static_cast<std::size_t>(comm.size())),
-        use_compression_(config.compress &&
-                         g.num_vertices <=
-                             std::numeric_limits<std::uint32_t>::max()) {
-    if (roots.empty()) {
-      throw std::invalid_argument("delta_stepping: no roots");
-    }
-    if (config.prune_lb != nullptr && config.prune_lb->size() != local_n_) {
-      throw std::invalid_argument(
-          "delta_stepping: prune_lb slice does not match the owned range");
-    }
-    for (const auto root : roots) {
-      if (root >= g.num_vertices) {
-        throw std::out_of_range("delta_stepping: root out of range");
-      }
-    }
+        core_(comm, g, roots, config, stats, "delta_stepping"),
+        r_tag_(core_.local_n, BucketQueue::kNone),
+        outbox_(static_cast<std::size_t>(comm.size())) {
     // Identity of this run for snapshot matching: the roots, the effective
     // bucket width and the graph shape.  A snapshot from any other run (or
     // a different partition of the same graph) is refused on restore.
     roots_digest_ =
         util::hash_bytes(roots.data(), roots.size() * sizeof(VertexId));
     std::uint64_t delta_bits = 0;
-    static_assert(sizeof(delta_bits) == sizeof(delta_));
-    std::memcpy(&delta_bits, &delta_, sizeof(delta_bits));
+    static_assert(sizeof(delta_bits) == sizeof(core_.delta));
+    std::memcpy(&delta_bits, &core_.delta, sizeof(delta_bits));
     roots_digest_ = util::hash64(roots_digest_, delta_bits);
     roots_digest_ = util::hash64(roots_digest_, g.num_vertices);
-    roots_digest_ = util::hash64(roots_digest_, local_n_);
+    roots_digest_ = util::hash64(roots_digest_, core_.local_n);
 
     precompute_splits();
-    init_hub_cache();
     // Pull rounds are only safe when EVERY rank that stores edges also has
     // a pull index for them; a rank-local check would diverge (e.g. a rank
     // owning only isolated vertices has an empty index) and desynchronize
@@ -94,36 +66,30 @@ class Engine {
         throw std::invalid_argument(
             "delta_stepping: warm start and checkpointing are exclusive");
       }
-      if (warm->dist.size() != local_n_ || warm->parent.size() != local_n_) {
+      if (warm->dist.size() != core_.local_n ||
+          warm->parent.size() != core_.local_n) {
         throw std::invalid_argument(
             "delta_stepping: warm-start slices do not match the owned range");
       }
-      dist_ = warm->dist;
-      parent_ = warm->parent;
+      core_.dist = warm->dist;
+      core_.parent = warm->parent;
       for (const auto root : roots) {
         if (g_.part.owner(root) == comm_.rank() &&
-            dist_[g_.part.local(root)] != 0.0f) {
+            core_.dist[g_.part.local(root)] != 0.0f) {
           throw std::invalid_argument(
               "delta_stepping: warm-start root distance must be 0");
         }
       }
       for (const auto v : warm->seeds) {
-        if (v >= local_n_ || dist_[v] == kInfDistance) {
+        if (v >= core_.local_n || core_.dist[v] == kInfDistance) {
           throw std::invalid_argument(
               "delta_stepping: warm-start seed invalid or unreachable");
         }
-        queue_.update(v, bucket_of(dist_[v]));
+        core_.queue.update(v, core_.bucket_of(core_.dist[v]));
       }
       return;
     }
-    for (const auto root : roots) {
-      if (g_.part.owner(root) == comm_.rank()) {
-        const auto lr = g_.part.local(root);
-        dist_[lr] = 0.0f;
-        parent_[lr] = root;
-        queue_.update(lr, 0);
-      }
-    }
+    core_.seed(roots);
   }
 
   SsspResult run() {
@@ -131,7 +97,7 @@ class Engine {
     const std::uint64_t rounds_at_start = comm_.stats().rounds();
     std::uint64_t k_hint = try_restore();
     while (true) {
-      const std::uint64_t k_local = queue_.next_nonempty(k_hint);
+      const std::uint64_t k_local = core_.queue.next_nonempty(k_hint);
       const std::uint64_t k = comm_.allreduce_min(k_local);
       if (k == BucketQueue::kNone) break;
       // Deadline budget: every rank sees the same allreduce-agreed k and
@@ -141,7 +107,7 @@ class Engine {
       if (config_.deadline_buckets != 0 &&
           stats_.buckets_processed >= config_.deadline_buckets) {
         ++stats_.deadline_stops;
-        stats_.settled_bound = static_cast<double>(k) * delta_;
+        stats_.settled_bound = static_cast<double>(k) * core_.delta;
         break;
       }
       ++stats_.buckets_processed;
@@ -159,8 +125,8 @@ class Engine {
     if (ckpt_ != nullptr) ckpt_->clear();
 
     SsspResult result;
-    result.dist = std::move(dist_);
-    result.parent = std::move(parent_);
+    result.dist = std::move(core_.dist);
+    result.parent = std::move(core_.parent);
     return result;
   }
 
@@ -168,154 +134,16 @@ class Engine {
   // -------------------------------------------------------------- setup
 
   void precompute_splits() {
-    split_.resize(local_n_);
-    for (LocalId u = 0; u < static_cast<LocalId>(local_n_); ++u) {
-      split_[u] = g_.csr.split_at(u, static_cast<Weight>(delta_));
+    const auto width = static_cast<Weight>(core_.delta);
+    split_.resize(core_.local_n);
+    for (LocalId u = 0; u < static_cast<LocalId>(core_.local_n); ++u) {
+      split_[u] = g_.csr.split_at(u, width);
     }
     if (config_.direction_opt && g_.pull.num_entries() > 0) {
       pull_split_.resize(g_.pull.num_sources());
       for (std::size_t i = 0; i < g_.pull.num_sources(); ++i) {
-        pull_split_[i] =
-            g_.pull.split_at(g_.pull.range(i), static_cast<Weight>(delta_));
+        pull_split_[i] = g_.pull.split_at(g_.pull.range(i), width);
       }
-    }
-  }
-
-  void init_hub_cache() {
-    if (!config_.hub_cache || g_.hubs.empty()) return;
-    hub_mirror_.assign(g_.hubs.size(), kInfDistance);
-    hub_index_.reserve(g_.hubs.size() * 2);
-    for (std::size_t i = 0; i < g_.hubs.size(); ++i) {
-      hub_index_.emplace(g_.hubs[i], static_cast<std::uint32_t>(i));
-    }
-  }
-
-  // ------------------------------------------------------------ relaxing
-
-  [[nodiscard]] std::uint64_t bucket_of(Weight d) const {
-    return static_cast<std::uint64_t>(static_cast<double>(d) / delta_);
-  }
-
-  /// Goal-directed pruning test: can a path reaching owned vertex `v` at
-  /// distance `base` still improve the query target within budget?  False
-  /// when pruning is off.  Written so NaN/infinity compare conservatively
-  /// (an infinite bound at an unreachable v prunes; an infinite budget
-  /// never does).
-  [[nodiscard]] bool pruned(LocalId v, Weight base) const {
-    return config_.prune_lb != nullptr &&
-           base + (*config_.prune_lb)[v] > config_.prune_budget;
-  }
-
-  /// Apply a candidate to an owned vertex.  Returns true if it improved.
-  bool relax_local(LocalId v, Weight cand, VertexId via) {
-    if (!(cand < dist_[v])) return false;
-    if (pruned(v, cand)) {
-      ++stats_.pruned_apply;
-      return false;
-    }
-    dist_[v] = cand;
-    parent_[v] = via;
-    queue_.update(v, bucket_of(cand));
-    ++stats_.relax_applied;
-    return true;
-  }
-
-  /// Route one candidate produced by a push phase: hub filter, local
-  /// fusion, or the outbox.
-  void route_candidate(VertexId target, Weight cand, VertexId via) {
-    ++stats_.relax_generated;
-    const int owner = g_.part.owner(target);
-    const bool is_local = owner == comm_.rank();
-
-    if (!hub_mirror_.empty()) {
-      const auto it = hub_index_.find(target);
-      if (it != hub_index_.end()) {
-        // The filter reference must never undercut the owner's authoritative
-        // distance, or improving candidates would be dropped; mirrors only
-        // carry values that were (or will be this round) delivered to the
-        // owner, so mirror >= authoritative always holds.
-        const Weight ref = is_local ? dist_[g_.part.local(target)]
-                                    : hub_mirror_[it->second];
-        if (!(cand < ref)) {
-          ++stats_.filtered_hub;
-          return;
-        }
-        if (!is_local) hub_mirror_[it->second] = cand;
-      }
-    }
-
-    if (is_local && config_.local_fusion) {
-      relax_local(g_.part.local(target), cand, via);
-      ++stats_.fused_local;
-      return;
-    }
-    outbox_[static_cast<std::size_t>(owner)].push_back(
-        RelaxRequest{target, via, cand});
-  }
-
-  /// Dedup outboxes (keep the best candidate per target) and exchange.
-  void exchange_and_apply() {
-    if (config_.coalesce) {
-      for (auto& box : outbox_) {
-        if (box.size() < 2) continue;
-        std::sort(box.begin(), box.end(),
-                  [](const RelaxRequest& a, const RelaxRequest& b) {
-                    if (a.target != b.target) return a.target < b.target;
-                    if (a.dist != b.dist) return a.dist < b.dist;
-                    return a.parent < b.parent;
-                  });
-        const auto last = std::unique(
-            box.begin(), box.end(), [](const RelaxRequest& a,
-                                       const RelaxRequest& b) {
-              return a.target == b.target;
-            });
-        stats_.filtered_coalesce +=
-            static_cast<std::uint64_t>(box.end() - last);
-        box.erase(last, box.end());
-      }
-    }
-    for (const auto& box : outbox_) stats_.relax_sent += box.size();
-    if (use_compression_) {
-      exchange_packed();
-    } else {
-      const std::vector<RelaxRequest> incoming =
-          config_.hierarchical_group > 1
-              ? simmpi::two_level_alltoallv(comm_, outbox_,
-                                            config_.hierarchical_group)
-              : comm_.alltoallv(outbox_);
-      stats_.relax_received += incoming.size();
-      for (const auto& req : incoming) {
-        relax_local(g_.part.local(req.target), req.dist, req.parent);
-      }
-    }
-    for (auto& box : outbox_) box.clear();
-  }
-
-  /// Compressed exchange: 12-byte records, target pre-localized to the
-  /// owner's index space (sender knows the owner's block base).
-  void exchange_packed() {
-    const int P = comm_.size();
-    std::vector<std::vector<PackedRelaxRequest>> packed(
-        static_cast<std::size_t>(P));
-    for (int d = 0; d < P; ++d) {
-      const VertexId base = g_.part.begin(d);
-      auto& box = packed[static_cast<std::size_t>(d)];
-      box.reserve(outbox_[static_cast<std::size_t>(d)].size());
-      for (const auto& req : outbox_[static_cast<std::size_t>(d)]) {
-        box.push_back(PackedRelaxRequest{
-            static_cast<std::uint32_t>(req.target - base),
-            static_cast<std::uint32_t>(req.parent), req.dist});
-      }
-    }
-    const std::vector<PackedRelaxRequest> incoming =
-        config_.hierarchical_group > 1
-            ? simmpi::two_level_alltoallv(comm_, packed,
-                                          config_.hierarchical_group)
-            : comm_.alltoallv(packed);
-    stats_.relax_received += incoming.size();
-    for (const auto& req : incoming) {
-      relax_local(static_cast<LocalId>(req.target_local), req.dist,
-                  req.parent);
     }
   }
 
@@ -337,38 +165,35 @@ class Engine {
     return push_bytes > pull_bytes * config_.pull_bias;
   }
 
-  void push_round(const std::vector<LocalId>& active, bool light,
-                  std::uint64_t k) {
-    (void)k;
+  void push_round(const std::vector<LocalId>& active, bool light) {
+    const auto to_outbox = [this](int owner, const Msg& m) {
+      outbox_[static_cast<std::size_t>(owner)].push_back(m);
+    };
     for (const auto v : active) {
       // A vertex whose best continuation toward the query target already
       // exceeds the budget cannot lie on a path that improves the answer;
       // skipping its expansion is where goal-directed pruning saves edge
       // relaxations and wire traffic.
-      if (pruned(v, dist_[v])) {
+      if (core_.pruned(v, core_.dist[v])) {
         ++stats_.pruned_expand;
         continue;
       }
-      const std::uint64_t first = light ? g_.csr.edges_begin(v) : split_[v];
-      const std::uint64_t last = light ? split_[v] : g_.csr.edges_end(v);
-      const Weight d = dist_[v];
-      const VertexId via = my_begin_ + v;
-      for (std::uint64_t e = first; e < last; ++e) {
-        route_candidate(g_.csr.dst(e), d + g_.csr.weight(e), via);
-      }
+      core_.expand<Msg>(
+          v, light ? g_.csr.edges_begin(v) : split_[v],
+          light ? split_[v] : g_.csr.edges_end(v), to_outbox);
     }
-    exchange_and_apply();
+    core_.exchange(outbox_);
   }
 
   void pull_round(const std::vector<LocalId>& active) {
     std::vector<FrontierEntry> frontier;
     frontier.reserve(active.size());
     for (const auto v : active) {
-      if (pruned(v, dist_[v])) {
+      if (core_.pruned(v, core_.dist[v])) {
         ++stats_.pruned_expand;
         continue;
       }
-      frontier.push_back(FrontierEntry{my_begin_ + v, dist_[v]});
+      frontier.push_back(FrontierEntry{core_.my_begin + v, core_.dist[v]});
     }
     stats_.frontier_broadcast += frontier.size();
     const std::vector<FrontierEntry> global = comm_.allgatherv(frontier);
@@ -379,7 +204,8 @@ class Engine {
       // Light entries only: [range.first, pull_split_[idx]).
       for (std::uint64_t e = range.first; e < pull_split_[idx]; ++e) {
         ++stats_.relax_generated;
-        relax_local(g_.pull.dst(e), fe.dist + g_.pull.weight(e), fe.vertex);
+        core_.relax_local(g_.pull.dst(e), fe.dist + g_.pull.weight(e),
+                          fe.vertex);
       }
     }
   }
@@ -392,7 +218,7 @@ class Engine {
     row.bucket = k;
 
     while (true) {
-      std::vector<LocalId> active = queue_.extract(k);
+      std::vector<LocalId> active = core_.queue.extract(k);
       for (const auto v : active) {
         if (r_tag_[v] != k) {
           r_tag_[v] = k;
@@ -418,7 +244,7 @@ class Engine {
         pull_round(active);
       } else {
         ++stats_.push_rounds;
-        push_round(active, /*light=*/true, k);
+        push_round(active, /*light=*/true);
       }
     }
     stats_.light_seconds += phase.seconds();
@@ -428,7 +254,7 @@ class Engine {
     phase.reset();
     ++stats_.heavy_phases;
     ++stats_.sub_rounds;
-    push_round(settled, /*light=*/false, k);
+    push_round(settled, /*light=*/false);
     stats_.heavy_seconds += phase.seconds();
 
     if (config_.collect_bucket_trace) {
@@ -441,15 +267,16 @@ class Engine {
   /// Tighten every mirror to the owner's authoritative distance (cheap:
   /// one H-length min-allreduce per bucket).
   void sync_hub_mirrors() {
-    if (hub_mirror_.empty()) return;
-    std::vector<Weight> contribution(hub_mirror_.size());
+    auto& mirror = core_.hub_mirror;
+    if (mirror.empty()) return;
+    std::vector<Weight> contribution(mirror.size());
     for (std::size_t i = 0; i < g_.hubs.size(); ++i) {
       const VertexId h = g_.hubs[i];
       contribution[i] = g_.part.owner(h) == comm_.rank()
-                            ? dist_[g_.part.local(h)]
-                            : hub_mirror_[i];
+                            ? core_.dist[g_.part.local(h)]
+                            : mirror[i];
     }
-    hub_mirror_ = comm_.allreduce_vec<Weight>(
+    mirror = comm_.allreduce_vec<Weight>(
         contribution, [](Weight a, Weight b) { return b < a ? b : a; });
   }
 
@@ -460,11 +287,12 @@ class Engine {
   /// from (0 = fresh start).  Collective: all ranks agree on the outcome.
   std::uint64_t try_restore() {
     if (ckpt_ == nullptr) return 0;
+    const std::size_t local_n = core_.local_n;
     const bool usable = ckpt_->valid &&
                         ckpt_->roots_digest == roots_digest_ &&
-                        ckpt_->dist.size() == local_n_ &&
-                        ckpt_->parent.size() == local_n_ &&
-                        ckpt_->hub_mirror.size() == hub_mirror_.size();
+                        ckpt_->dist.size() == local_n &&
+                        ckpt_->parent.size() == local_n &&
+                        ckpt_->hub_mirror.size() == core_.hub_mirror.size();
     // All ranks must restore the same epoch or none at all; a token of
     // kNone marks "no snapshot here".
     const std::uint64_t token = usable ? ckpt_->last_bucket : BucketQueue::kNone;
@@ -476,17 +304,17 @@ class Engine {
     }
     ckpt_->verify();  // throws CheckpointError on bit rot
 
-    dist_ = ckpt_->dist;
-    parent_ = ckpt_->parent;
-    hub_mirror_ = ckpt_->hub_mirror;
+    core_.dist = ckpt_->dist;
+    core_.parent = ckpt_->parent;
+    core_.hub_mirror = ckpt_->hub_mirror;
     // The queue is a function of the distances: pending vertices are
     // exactly those whose bucket lies beyond the last drained epoch.
     // Entries the constructor queued below the cursor go stale harmlessly
     // (the scan starts past them and never extracts their buckets).
-    for (LocalId v = 0; v < static_cast<LocalId>(local_n_); ++v) {
-      if (dist_[v] == kInfDistance) continue;
-      const std::uint64_t b = bucket_of(dist_[v]);
-      if (b > ckpt_->last_bucket) queue_.update(v, b);
+    for (LocalId v = 0; v < static_cast<LocalId>(local_n); ++v) {
+      if (core_.dist[v] == kInfDistance) continue;
+      const std::uint64_t b = core_.bucket_of(core_.dist[v]);
+      if (b > ckpt_->last_bucket) core_.queue.update(v, b);
     }
     stats_.buckets_processed = ckpt_->buckets_done;
     ++stats_.restores;
@@ -504,9 +332,9 @@ class Engine {
     ckpt_->roots_digest = roots_digest_;
     ckpt_->last_bucket = k;
     ckpt_->buckets_done = stats_.buckets_processed;
-    ckpt_->dist = dist_;
-    ckpt_->parent = parent_;
-    ckpt_->hub_mirror = hub_mirror_;
+    ckpt_->dist = core_.dist;
+    ckpt_->parent = core_.parent;
+    ckpt_->hub_mirror = core_.hub_mirror;
     ckpt_->seal();
     ++stats_.checkpoints;
     stats_.checkpoint_seconds += timer.seconds();
@@ -522,43 +350,41 @@ class Engine {
   std::uint64_t roots_digest_ = 0;
   std::uint64_t buckets_since_ckpt_ = 0;
 
-  std::size_t local_n_;
-  VertexId my_begin_;
-  double delta_;
-
-  BucketQueue queue_;
-  std::vector<Weight> dist_;
-  std::vector<VertexId> parent_;
+  RelaxCore core_;
   std::vector<std::uint64_t> r_tag_;
   std::vector<std::uint64_t> split_;       // light/heavy boundary per vertex
   std::vector<std::uint64_t> pull_split_;  // same for pull source groups
 
-  std::unordered_map<VertexId, std::uint32_t> hub_index_;
-  std::vector<Weight> hub_mirror_;
-
-  std::vector<std::vector<RelaxRequest>> outbox_;
-  bool use_compression_;
+  std::vector<std::vector<Msg>> outbox_;
   bool pull_available_ = false;
 };
+
+/// Run the engine with the wire record the config selects.
+SsspResult run_engine(simmpi::Comm& comm, const graph::DistGraph& g,
+                      const std::vector<VertexId>& roots,
+                      const SsspConfig& config, SsspStats* stats,
+                      CheckpointState* ckpt = nullptr,
+                      const WarmStart* warm = nullptr) {
+  SsspStats local_stats;
+  SsspStats& s = stats != nullptr ? *stats : local_stats;
+  return with_wire_record(config, g.num_vertices, [&](auto record) {
+    Engine<decltype(record)> engine(comm, g, roots, config, s, ckpt, warm);
+    return engine.run();
+  });
+}
 
 }  // namespace
 
 SsspResult delta_stepping(simmpi::Comm& comm, const graph::DistGraph& g,
                           VertexId root, const SsspConfig& config,
                           SsspStats* stats) {
-  SsspStats local_stats;
-  Engine engine(comm, g, {root}, config,
-                stats != nullptr ? *stats : local_stats);
-  return engine.run();
+  return run_engine(comm, g, {root}, config, stats);
 }
 
 SsspResult delta_stepping_multi(simmpi::Comm& comm, const graph::DistGraph& g,
                                 const std::vector<VertexId>& roots,
                                 const SsspConfig& config, SsspStats* stats) {
-  SsspStats local_stats;
-  Engine engine(comm, g, roots, config,
-                stats != nullptr ? *stats : local_stats);
-  return engine.run();
+  return run_engine(comm, g, roots, config, stats);
 }
 
 SsspResult delta_stepping_repair(simmpi::Comm& comm,
@@ -569,10 +395,7 @@ SsspResult delta_stepping_repair(simmpi::Comm& comm,
     throw std::invalid_argument(
         "delta_stepping_repair: checkpoint/deadline features are rejected");
   }
-  SsspStats local_stats;
-  Engine engine(comm, g, {root}, config,
-                stats != nullptr ? *stats : local_stats, nullptr, &warm);
-  return engine.run();
+  return run_engine(comm, g, {root}, config, stats, nullptr, &warm);
 }
 
 SsspResult delta_stepping_checkpointed(simmpi::Comm& comm,
@@ -581,10 +404,7 @@ SsspResult delta_stepping_checkpointed(simmpi::Comm& comm,
                                        const SsspConfig& config,
                                        CheckpointState* ckpt,
                                        SsspStats* stats) {
-  SsspStats local_stats;
-  Engine engine(comm, g, {root}, config,
-                stats != nullptr ? *stats : local_stats, ckpt);
-  return engine.run();
+  return run_engine(comm, g, {root}, config, stats, ckpt);
 }
 
 SequentialResult gather_result(simmpi::Comm& comm, const graph::DistGraph& g,

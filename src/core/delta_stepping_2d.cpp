@@ -1,15 +1,12 @@
 #include "core/delta_stepping_2d.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "core/bucket_queue.hpp"
+#include "core/relax_core.hpp"
 #include "util/timer.hpp"
 
 namespace g500::core {
 
-using graph::kInfDistance;
-using graph::kNoVertex;
 using graph::LocalId;
 using graph::VertexId;
 using graph::Weight;
@@ -24,49 +21,30 @@ class Engine2D {
         g_(g),
         config_(config),
         stats_(stats),
-        local_n_(static_cast<std::size_t>(g.part.count(comm.rank()))),
-        my_begin_(g.part.begin(comm.rank())),
-        queue_(local_n_),
-        dist_(local_n_, kInfDistance),
-        parent_(local_n_, kNoVertex),
-        r_tag_(local_n_, BucketQueue::kNone),
+        state_(g.part, comm.rank(), effective_delta(config, g), stats),
+        r_tag_(state_.local_n, BucketQueue::kNone),
         frontier_out_(static_cast<std::size_t>(comm.size())),
         candidate_out_(static_cast<std::size_t>(comm.size())) {
-    if (root >= g.num_vertices) {
-      throw std::out_of_range("delta_stepping_2d: root out of range");
-    }
-    if (config.delta > 0.0) {
-      delta_ = config.delta;
-    } else {
-      const double avg_degree =
-          std::max(1.0, static_cast<double>(g.num_directed_edges) /
-                            static_cast<double>(g.num_vertices));
-      delta_ = std::clamp(1.0 / avg_degree, 1.0 / 64.0, 1.0);
-    }
+    check_roots({root}, g.num_vertices, "delta_stepping_2d");
     // Precompute light/heavy splits per source group in the edge block.
     split_.resize(g_.block.num_sources());
     for (std::size_t i = 0; i < g_.block.num_sources(); ++i) {
-      split_[i] =
-          g_.block.split_at(g_.block.range(i), static_cast<Weight>(delta_));
+      split_[i] = g_.block.split_at(g_.block.range(i),
+                                    static_cast<Weight>(state_.delta));
     }
     // The R ranks in my grid column hold my owned vertices' edges.
     const int me = comm_.rank();
     for (int row = 0; row < g_.grid.rows(); ++row) {
       column_group_.push_back(g_.grid.rank_at(row, g_.grid.col_of(me)));
     }
-    if (g_.part.owner(root) == me) {
-      const auto lr = g_.part.local(root);
-      dist_[lr] = 0.0f;
-      parent_[lr] = root;
-      queue_.update(lr, 0);
-    }
+    state_.seed({root});
   }
 
   SsspResult run() {
     util::Timer total;
     std::uint64_t k_hint = 0;
     while (true) {
-      const std::uint64_t k_local = queue_.next_nonempty(k_hint);
+      const std::uint64_t k_local = state_.queue.next_nonempty(k_hint);
       const std::uint64_t k = comm_.allreduce_min(k_local);
       if (k == BucketQueue::kNone) break;
       ++stats_.buckets_processed;
@@ -80,30 +58,18 @@ class Engine2D {
     stats_.total_seconds = total.seconds();
 
     SsspResult result;
-    result.dist = std::move(dist_);
-    result.parent = std::move(parent_);
+    result.dist = std::move(state_.dist);
+    result.parent = std::move(state_.parent);
     return result;
   }
 
  private:
-  [[nodiscard]] std::uint64_t bucket_of(Weight d) const {
-    return static_cast<std::uint64_t>(static_cast<double>(d) / delta_);
-  }
-
-  void relax_local(LocalId v, Weight cand, VertexId via) {
-    if (!(cand < dist_[v])) return;
-    dist_[v] = cand;
-    parent_[v] = via;
-    queue_.update(v, bucket_of(cand));
-    ++stats_.relax_applied;
-  }
-
   /// One frontier broadcast + edge scan + candidate return.  `light`
   /// selects which half of each source group is relaxed.
   void relax_round(const std::vector<LocalId>& active, bool light) {
     // --- 1. owners -> column group: active (vertex, distance) pairs.
     for (const auto v : active) {
-      const FrontierEntry entry{my_begin_ + v, dist_[v]};
+      const FrontierEntry entry{state_.my_begin + v, state_.dist[v]};
       for (const int dst : column_group_) {
         frontier_out_[static_cast<std::size_t>(dst)].push_back(entry);
       }
@@ -132,21 +98,7 @@ class Engine2D {
     }
     if (config_.coalesce) {
       for (auto& box : candidate_out_) {
-        if (box.size() < 2) continue;
-        std::sort(box.begin(), box.end(),
-                  [](const RelaxRequest& a, const RelaxRequest& b) {
-                    if (a.target != b.target) return a.target < b.target;
-                    if (a.dist != b.dist) return a.dist < b.dist;
-                    return a.parent < b.parent;
-                  });
-        const auto last = std::unique(box.begin(), box.end(),
-                                      [](const RelaxRequest& a,
-                                         const RelaxRequest& b) {
-                                        return a.target == b.target;
-                                      });
-        stats_.filtered_coalesce +=
-            static_cast<std::uint64_t>(box.end() - last);
-        box.erase(last, box.end());
+        stats_.filtered_coalesce += coalesce_min(box);
       }
     }
     for (const auto& box : candidate_out_) stats_.relax_sent += box.size();
@@ -155,10 +107,7 @@ class Engine2D {
     const std::vector<RelaxRequest> incoming =
         comm_.alltoallv(candidate_out_);
     for (auto& box : candidate_out_) box.clear();
-    stats_.relax_received += incoming.size();
-    for (const auto& req : incoming) {
-      relax_local(g_.part.local(req.target), req.dist, req.parent);
-    }
+    state_.apply(incoming);
   }
 
   /// Index of `source` within the block's group list (must exist).
@@ -181,7 +130,7 @@ class Engine2D {
     util::Timer phase;
     std::vector<LocalId> settled;
     while (true) {
-      std::vector<LocalId> active = queue_.extract(k);
+      std::vector<LocalId> active = state_.queue.extract(k);
       for (const auto v : active) {
         if (r_tag_[v] != k) {
           r_tag_[v] = k;
@@ -209,13 +158,7 @@ class Engine2D {
   const SsspConfig& config_;
   SsspStats& stats_;
 
-  std::size_t local_n_;
-  VertexId my_begin_;
-  double delta_ = 1.0;
-
-  BucketQueue queue_;
-  std::vector<Weight> dist_;
-  std::vector<VertexId> parent_;
+  RelaxState state_;
   std::vector<std::uint64_t> r_tag_;
   std::vector<std::uint64_t> split_;
   std::vector<int> column_group_;

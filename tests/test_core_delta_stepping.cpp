@@ -3,6 +3,12 @@
 // feature and edge-case tests.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <tuple>
+
+#include "core/relax_core.hpp"
+#include "core/runner.hpp"
 #include "sssp_test_util.hpp"
 
 namespace {
@@ -486,6 +492,122 @@ TEST(DeltaStepping, WithoutPullIndexDirectionOptFallsBackToPush) {
     EXPECT_EQ(stats.pull_rounds, 0u);
     EXPECT_TRUE(core::validate_sssp(comm, g, 0, mine).ok);
   });
+}
+
+// --------------------------------------------------------------------------
+// Wire format: the packed 12-byte record is an encoding, not a schedule.
+// Compression on and off must give byte-identical distance AND parent
+// slices, because packed coalescing keeps the same survivor per target as
+// wide coalescing and the receiver applies them in the same order.
+// --------------------------------------------------------------------------
+
+using WireCase = std::tuple<int, int, std::string>;  // scale, ranks, config
+
+core::SsspConfig wire_config(const std::string& name) {
+  core::SsspConfig c;
+  if (name == "no_coalesce") c.coalesce = false;
+  if (name == "hierarchical") c.hierarchical_group = 3;
+  if (name == "no_hub_cache") c.hub_cache = false;
+  return c;
+}
+
+class WireFormatIdentity : public ::testing::TestWithParam<WireCase> {};
+
+TEST_P(WireFormatIdentity, CompressOnAndOffGiveIdenticalSlices) {
+  const auto& [scale, ranks, name] = GetParam();
+  KroneckerParams params;
+  params.scale = scale;
+  simmpi::World world(ranks);
+  world.run([&](simmpi::Comm& comm) {
+    const DistGraph g = build_kronecker(comm, params);
+    core::SsspConfig packed = wire_config(name);
+    packed.compress = true;
+    core::SsspConfig wide = packed;
+    wide.compress = false;
+    const auto roots = core::sample_roots(comm, g, 4, 0x51C3);
+    ASSERT_EQ(roots.size(), 4u);
+    for (const auto root : roots) {
+      const auto a = core::delta_stepping(comm, g, root, packed);
+      const auto b = core::delta_stepping(comm, g, root, wide);
+      ASSERT_EQ(a.dist.size(), b.dist.size());
+      EXPECT_EQ(std::memcmp(a.dist.data(), b.dist.data(),
+                            a.dist.size() * sizeof(Weight)),
+                0)
+          << "root " << root << " rank " << comm.rank();
+      EXPECT_EQ(a.parent, b.parent)
+          << "root " << root << " rank " << comm.rank();
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KroneckerMatrix, WireFormatIdentity,
+    ::testing::Combine(::testing::Values(8, 10, 12),
+                       ::testing::Values(1, 2, 4, 7),
+                       ::testing::Values("default", "no_coalesce",
+                                         "hierarchical", "no_hub_cache")),
+    [](const ::testing::TestParamInfo<WireCase>& info) {
+      return "s" + std::to_string(std::get<0>(info.param)) + "_r" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             std::get<2>(info.param);
+    });
+
+// --------------------------------------------------------------------------
+// coalesce_min: one survivor per target, min dist then min parent.
+// --------------------------------------------------------------------------
+
+TEST(CoalesceMin, EqualDistTiesKeepTheMinParent) {
+  std::vector<core::RelaxRequest> box = {
+      {5, 9, 1.0f}, {5, 3, 1.0f}, {5, 7, 2.0f}, {2, 1, 0.5f}, {5, 4, 1.0f}};
+  EXPECT_EQ(core::coalesce_min(box), 3u);
+  ASSERT_EQ(box.size(), 2u);
+  EXPECT_EQ(box[0].target, 2u);
+  EXPECT_EQ(box[0].parent, 1u);
+  EXPECT_EQ(box[1].target, 5u);
+  EXPECT_EQ(box[1].parent, 3u);
+  EXPECT_EQ(box[1].dist, 1.0f);
+}
+
+TEST(CoalesceMin, PackedAndWideKeepTheSameSurvivors) {
+  // One destination box whose owner block starts at `base`: the packed
+  // record carries target - base.  Few targets, parents and distances so
+  // that duplicate targets and dist ties are common.
+  const graph::BlockPartition part(4096, 4);
+  const int owner = 2;
+  const VertexId base = part.begin(owner);
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<VertexId> target_of(0, 63);
+  std::uniform_int_distribution<VertexId> parent_of(0, 4095);
+  std::uniform_int_distribution<int> dist_of(0, 3);
+  std::vector<core::RelaxRequest> wide;
+  std::vector<core::PackedRelaxRequest> packed;
+  for (int i = 0; i < 2000; ++i) {
+    const VertexId target = base + target_of(rng);
+    const VertexId via = parent_of(rng);
+    const Weight cand = 0.25f * static_cast<float>(dist_of(rng));
+    wide.push_back(
+        core::encode<core::RelaxRequest>(part, owner, target, cand, via));
+    packed.push_back(core::encode<core::PackedRelaxRequest>(
+        part, owner, target, cand, via));
+  }
+  EXPECT_EQ(core::coalesce_min(wide), core::coalesce_min(packed));
+  ASSERT_EQ(wide.size(), packed.size());
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    EXPECT_EQ(wide[i].target, base + packed[i].target_local);
+    EXPECT_EQ(wide[i].parent, packed[i].parent);
+    EXPECT_EQ(wide[i].dist, packed[i].dist);
+  }
+}
+
+TEST(CoalesceMin, EmptyAndSingletonBoxesAreUntouched) {
+  std::vector<core::PackedRelaxRequest> empty;
+  EXPECT_EQ(core::coalesce_min(empty), 0u);
+  EXPECT_TRUE(empty.empty());
+  std::vector<core::RelaxRequest> one = {{3, 1, 0.5f}};
+  EXPECT_EQ(core::coalesce_min(one), 0u);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].target, 3u);
+  EXPECT_EQ(one[0].parent, 1u);
 }
 
 }  // namespace
