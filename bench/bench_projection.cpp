@@ -18,29 +18,18 @@ int main(int argc, char** argv) {
   const int cal_ranks = static_cast<int>(options.get_int("cal-ranks", 8));
 
   // --- 1. calibrate from a real measured run -----------------------------
+  // Solves from sampled roots; wire bytes and rounds are deltas taken
+  // around each solve, so construction and validation traffic stay out.
   graph::KroneckerParams params;
   params.scale = cal_scale;
-  simmpi::World world(cal_ranks);
-  core::SsspStats merged;
-  std::uint64_t runs = 2;
-  world.run([&](simmpi::Comm& comm) {
-    const graph::DistGraph g = graph::build_kronecker(comm, params);
-    comm.barrier();
-    // Measure only solve traffic: reset is not available inside run, so
-    // subtract construction by snapshotting.
-    for (std::uint64_t i = 0; i < runs; ++i) {
-      core::SsspStats local;
-      (void)core::delta_stepping(comm, g, 1 + i, core::SsspConfig{}, &local);
-      const auto total = core::global_stats(comm, local);
-      if (comm.rank() == 0) merged.merge(total);
-    }
-    comm.barrier();
-  });
-  // Wire traffic of the whole world run (construction included) slightly
-  // overstates per-SSSP bytes; dividing by runs keeps it conservative the
-  // way record submissions round against themselves.
-  const auto cal = model::Calibration::from_run(
-      merged, world.aggregate_stats(), params.num_edges(), runs, cal_scale);
+  constexpr int kSolves = 2;
+  const auto m = bench::measure_sssp(params, cal_ranks, core::SsspConfig{},
+                                     kSolves);
+  if (!m.valid) {
+    std::cerr << "calibration run failed validation\n";
+    return 1;
+  }
+  const auto cal = bench::calibrate(m, params, kSolves);
 
   bench::RunReport report("projection", options);
   report.doc()["calibration"] = model::to_json(cal);

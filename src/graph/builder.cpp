@@ -37,20 +37,35 @@ void select_hubs(simmpi::Comm& comm, const BlockPartition& part,
   hub_degrees.clear();
   if (hub_count == 0) return;
 
-  // Local top-H by degree...
-  std::vector<HubCandidate> local;
-  local.reserve(csr.num_local());
-  for (LocalId u = 0; u < csr.num_local(); ++u) {
-    const auto deg = csr.degree(u);
-    if (deg > 0) {
-      local.push_back(HubCandidate{part.global(comm.rank(), u), deg});
-    }
+  // Local top-H by degree: a degree histogram finds the cutoff degree d
+  // (fewer than H vertices lie strictly above it), then one pass in id
+  // order takes everything above d and the lowest-id vertices at d.  The
+  // histogram is bounded by the largest local degree, never by n.
+  const LocalId local_n = csr.num_local();
+  std::uint64_t max_degree = 0;
+  for (LocalId u = 0; u < local_n; ++u) {
+    max_degree = std::max(max_degree, csr.degree(u));
   }
-  if (local.size() > hub_count) {
-    std::nth_element(local.begin(),
-                     local.begin() + static_cast<std::ptrdiff_t>(hub_count),
-                     local.end(), hub_less);
-    local.resize(hub_count);
+  std::vector<LocalId> with_degree(max_degree + 1, 0);
+  for (LocalId u = 0; u < local_n; ++u) ++with_degree[csr.degree(u)];
+  std::uint64_t cutoff = max_degree;
+  std::size_t above = 0;  // vertices with degree > cutoff
+  while (cutoff > 0 && above + with_degree[cutoff] < hub_count) {
+    above += with_degree[cutoff];
+    --cutoff;
+  }
+  // cutoff == 0 means fewer than H vertices have edges: take them all.
+  std::size_t at_cutoff = hub_count - above;
+  std::vector<HubCandidate> local;
+  local.reserve(std::min<std::size_t>(hub_count, local_n));
+  for (LocalId u = 0; u < local_n; ++u) {
+    const auto deg = csr.degree(u);
+    if (deg == cutoff && deg > 0 && at_cutoff > 0) {
+      --at_cutoff;
+    } else if (deg <= cutoff) {
+      continue;
+    }
+    local.push_back(HubCandidate{part.global(comm.rank(), u), deg});
   }
   std::sort(local.begin(), local.end(), hub_less);
 
@@ -97,20 +112,8 @@ DistGraph build_distributed(simmpi::Comm& comm, const EdgeList& input_slice,
   outbox.clear();
   outbox.shrink_to_fit();
 
-  // Deduplicate parallel edges keeping the smallest weight: sort by
-  // (src, dst, weight) and keep the first of each (src, dst) run.
-  std::sort(mine.begin(), mine.end(), [](const WireEdge& a, const WireEdge& b) {
-    if (a.src != b.src) return a.src < b.src;
-    if (a.dst != b.dst) return a.dst < b.dst;
-    return a.weight < b.weight;
-  });
-  mine.erase(std::unique(mine.begin(), mine.end(),
-                         [](const WireEdge& a, const WireEdge& b) {
-                           return a.src == b.src && a.dst == b.dst;
-                         }),
-             mine.end());
-
-  // Localize sources and build the CSR.
+  // Localize sources; the CSR constructor drops parallel edges (keeping the
+  // minimum weight) while it groups them by source.
   const VertexId my_begin = g.part.begin(comm.rank());
   for (auto& e : mine) {
     e.src -= my_begin;  // LocalCsr takes local source indices

@@ -3,10 +3,12 @@
 // Implements the Graph 500 construction phase: each rank holds a slice of
 // the undirected input tuples; the builder routes both directions of every
 // tuple to the owner of its source vertex (1-D block partition), drops
-// self-loops, deduplicates parallel edges keeping the minimum weight (the
-// SSSP-relevant one), and produces the rank-local CSR plus the auxiliary
-// structures the optimized engine needs (pull index, hub list, degree
-// statistics).
+// self-loops, and hands the received edges to LocalCsr, which deduplicates
+// parallel edges keeping the minimum weight (the SSSP-relevant one).  It
+// then derives the auxiliary structures the optimized engine needs (pull
+// index, hub list, degree statistics).  Every step is a linear pass plus
+// sorts of single vertices' edge runs; no array is sized by the global
+// vertex count.
 #pragma once
 
 #include <cstdint>
@@ -104,8 +106,10 @@ struct DistGraph {
 
 /// Collectively agree on the global top-`hub_count` vertices by degree
 /// (ties by id ascending): every rank contributes its local top
-/// candidates, the union is reduced identically everywhere.  Shared by
-/// build_distributed and load_sharded so both paths select the same hubs.
+/// candidates, found by a degree-count cutoff in linear time, and the
+/// union is reduced identically everywhere.  Shared by build_distributed
+/// (which dyn::MutableGraph compaction also runs) and load_sharded, so
+/// every path selects the same hubs.
 void select_hubs(simmpi::Comm& comm, const BlockPartition& part,
                  const LocalCsr& csr, std::size_t hub_count,
                  std::vector<VertexId>& hubs,

@@ -39,8 +39,8 @@ struct RunEdge {
 };
 static_assert(sizeof(RunEdge) == 16);
 
-/// Run order (src, dst, w): the merge key of the dedup pass.  Matches the
-/// in-memory builder's sort, so keep-first == keep-minimum-weight.
+/// Run order (src, dst, w): the merge key of the dedup pass, so
+/// keep-first == keep-minimum-weight, the cleaning rule LocalCsr applies.
 bool run_less(const RunEdge& a, const RunEdge& b) {
   if (a.src != b.src) return a.src < b.src;
   if (a.dst != b.dst) return a.dst < b.dst;
@@ -55,7 +55,7 @@ struct PullEntry {
 };
 static_assert(sizeof(PullEntry) == 16);
 
-/// Pull order (src, w, dst): exactly PullIndex::from_csr's sort.
+/// Pull order (src, w, dst): the entry order PullIndex guarantees.
 bool pull_less(const PullEntry& a, const PullEntry& b) {
   if (a.src != b.src) return a.src < b.src;
   if (a.w != b.w) return a.w < b.w;

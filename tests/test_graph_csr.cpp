@@ -70,6 +70,27 @@ TEST(LocalCsr, TieWeightsOrderedByDestination) {
   EXPECT_EQ(csr.dst(2), 9u);
 }
 
+TEST(LocalCsr, DedupsParallelEdgesKeepingMinimumWeight) {
+  // Unordered input with parallel edges: (0,5) three times, (1,5) twice.
+  std::vector<WireEdge> edges = {{0, 5, 0.7f}, {1, 5, 0.9f}, {0, 5, 0.2f},
+                                 {0, 3, 0.2f}, {1, 5, 0.4f}, {0, 5, 0.2f}};
+  const LocalCsr csr(3, std::move(edges));
+  ASSERT_EQ(csr.num_edges(), 3u);
+  ASSERT_EQ(csr.degree(0), 2u);
+  // Equal weights order by destination.
+  EXPECT_EQ(csr.dst(0), 3u);
+  EXPECT_FLOAT_EQ(csr.weight(0), 0.2f);
+  EXPECT_EQ(csr.dst(1), 5u);
+  EXPECT_FLOAT_EQ(csr.weight(1), 0.2f);
+  ASSERT_EQ(csr.degree(1), 1u);
+  EXPECT_EQ(csr.dst(2), 5u);
+  EXPECT_FLOAT_EQ(csr.weight(2), 0.4f);
+  EXPECT_EQ(csr.degree(2), 0u);
+  // Arrays are sized to the kept edges, not to the input.
+  EXPECT_EQ(csr.resident_bytes(), 4 * sizeof(std::uint64_t) +
+                                      3 * (sizeof(VertexId) + sizeof(Weight)));
+}
+
 TEST(PullIndex, RegroupsBySource) {
   const LocalCsr csr = make_csr();
   const PullIndex pull = PullIndex::from_csr(csr);

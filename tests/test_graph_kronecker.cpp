@@ -1,10 +1,12 @@
 // Unit and property tests for the Graph 500 Kronecker generator.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <set>
 
 #include "graph/kronecker.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -144,6 +146,47 @@ TEST(Kronecker, DifferentSeedsDifferentGraphs) {
     if (!(kronecker_edge(a, i) == kronecker_edge(b, i))) ++different;
   }
   EXPECT_GT(different, 90);
+}
+
+/// Pinned stream digests: the edge stream (and with it every distance
+/// digest downstream) must not change when the generator is optimized.
+TEST(Kronecker, StreamMatchesPinnedDigestsAndPerEdgeCalls) {
+  struct Case {
+    int scale;
+    int edgefactor;
+    std::uint64_t seed1, seed2;
+    bool scramble;
+    std::uint64_t begin, end;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {1, 16, 2, 3, true, 0, 32, 0xb02d131353705e40ULL},
+      {5, 16, 2, 3, false, 0, 512, 0x3417a4a7a271a15aULL},
+      {12, 16, 2, 3, true, 0, 65536, 0x680be47b906b9b24ULL},
+      {10, 8, 77, 5, true, 100, 8192, 0x220d44bc0b0aa219ULL},
+      {20, 16, 2, 3, true, 1000000, 1100000, 0x9de45179e02524afULL},
+      {43, 16, 2, 3, true, 5, 4005, 0x617925abe4c097d9ULL},
+  };
+  for (const auto& c : cases) {
+    KroneckerParams p;
+    p.scale = c.scale;
+    p.edgefactor = c.edgefactor;
+    p.seed1 = c.seed1;
+    p.seed2 = c.seed2;
+    p.scramble = c.scramble;
+    const auto slice = kronecker_slice(p, c.begin, c.end);
+    std::uint64_t digest = 0;
+    for (const Edge& e : slice) {
+      digest = g500::util::hash64(
+          digest, e.src,
+          g500::util::hash64(e.dst, std::bit_cast<std::uint32_t>(e.weight)));
+    }
+    EXPECT_EQ(digest, c.digest) << "scale " << c.scale;
+    for (std::uint64_t i = c.begin; i < c.end; i += 997) {
+      EXPECT_EQ(kronecker_edge(p, i), slice[i - c.begin]);
+      EXPECT_EQ(kronecker_edge(p, i), kronecker_slice(p, i, i + 1)[0]);
+    }
+  }
 }
 
 TEST(Kronecker, RejectsBadParameters) {
