@@ -6,10 +6,11 @@
 
 namespace g500::model {
 
-Calibration Calibration::from_run(const core::SsspStats& stats,
-                                  const simmpi::CommStats& comm,
-                                  std::uint64_t num_input_edges,
-                                  std::uint64_t num_sssp_runs, int scale) {
+Calibration Calibration::from_totals(std::uint64_t relax_generated,
+                                     std::uint64_t wire_bytes,
+                                     std::uint64_t rounds,
+                                     std::uint64_t num_input_edges,
+                                     std::uint64_t num_sssp_runs, int scale) {
   if (num_input_edges == 0 || num_sssp_runs == 0) {
     throw std::invalid_argument("Calibration: empty run");
   }
@@ -17,13 +18,20 @@ Calibration Calibration::from_run(const core::SsspStats& stats,
   const double edges =
       static_cast<double>(num_input_edges) * static_cast<double>(num_sssp_runs);
   cal.relax_per_input_edge =
-      std::max(0.1, static_cast<double>(stats.relax_generated) / edges);
-  cal.wire_bytes_per_input_edge =
-      static_cast<double>(comm.total_bytes()) / edges;
-  cal.rounds_per_sssp = static_cast<double>(comm.rounds()) /
-                        static_cast<double>(num_sssp_runs);
+      std::max(0.1, static_cast<double>(relax_generated) / edges);
+  cal.wire_bytes_per_input_edge = static_cast<double>(wire_bytes) / edges;
+  cal.rounds_per_sssp =
+      static_cast<double>(rounds) / static_cast<double>(num_sssp_runs);
   cal.calibration_scale = scale;
   return cal;
+}
+
+Calibration Calibration::from_run(const core::SsspStats& stats,
+                                  const simmpi::CommStats& comm,
+                                  std::uint64_t num_input_edges,
+                                  std::uint64_t num_sssp_runs, int scale) {
+  return from_totals(stats.relax_generated, comm.total_bytes(), comm.rounds(),
+                     num_input_edges, num_sssp_runs, scale);
 }
 
 Projection::Projection(Machine machine, Calibration calibration)

@@ -38,6 +38,16 @@ struct Calibration {
   /// which grows with log n for Kronecker graphs).
   int calibration_scale = 16;
 
+  /// The calibration formula: totals over `num_sssp_runs` solves of a
+  /// graph with `num_input_edges` input edges, turned into per-edge ratios
+  /// (relaxations floored at 0.1) and rounds per solve.
+  [[nodiscard]] static Calibration from_totals(std::uint64_t relax_generated,
+                                               std::uint64_t wire_bytes,
+                                               std::uint64_t rounds,
+                                               std::uint64_t num_input_edges,
+                                               std::uint64_t num_sssp_runs,
+                                               int scale);
+
   /// Extract the per-edge ratios from a measured run.
   [[nodiscard]] static Calibration from_run(
       const core::SsspStats& stats_sum_over_ranks,

@@ -91,6 +91,15 @@ TEST(Calibration, FromRealMeasuredRun) {
   EXPECT_GT(cal.rounds_per_sssp, 0.0);
 }
 
+TEST(Calibration, FromTotalsDividesPerSolveAndFloorsRelaxations) {
+  // Two solves of a 1000-edge graph: 50 relaxations, 16000 bytes, 60 rounds.
+  const Calibration cal = Calibration::from_totals(50, 16000, 60, 1000, 2, 11);
+  EXPECT_DOUBLE_EQ(cal.relax_per_input_edge, 0.1);  // 0.025 floored
+  EXPECT_DOUBLE_EQ(cal.wire_bytes_per_input_edge, 8.0);
+  EXPECT_DOUBLE_EQ(cal.rounds_per_sssp, 30.0);
+  EXPECT_EQ(cal.calibration_scale, 11);
+}
+
 TEST(Calibration, RejectsEmptyRun) {
   EXPECT_THROW((void)Calibration::from_run({}, {}, 0, 1, 10),
                std::invalid_argument);
